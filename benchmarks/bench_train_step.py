@@ -13,7 +13,8 @@ configurations:
 
 All three run the same batches from the same seeds; ``pooled`` final
 parameters are asserted bitwise-identical to ``optimized`` (the guarantee
-that keeps ``buffer_pool`` out of eval-cache fingerprints).  A separate
+that keeps the pool, always on in training, out of eval-cache
+fingerprints).  A separate
 profiled run collects per-kernel timings via the ``repro.obs.profile``
 hooks.  Results are machine-readable JSON at
 ``benchmarks/results/train_step.json``:

@@ -33,33 +33,20 @@ Safety contract (see ``docs/performance.md``):
 * evaluation/inference paths never activate a pool, so arrays returned by
   ``predict`` are ordinary owned allocations.
 
-The pool is thread-local and opt-in: with no active pool every op takes its
-original allocation path untouched.  ``$REPRO_BUFFER_POOL=0`` is a global
-kill switch for debugging.
+The pool is thread-local: training always runs its steps under one, and
+with no active pool (inference, evaluation) every op takes its original
+allocation path untouched.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 from collections import deque
 
 import numpy as np
 
-POOL_ENV = "REPRO_BUFFER_POOL"
-
 _state = threading.local()
-
-
-def pooling_allowed() -> bool:
-    """Whether the ``$REPRO_BUFFER_POOL`` kill switch permits pooling."""
-    return os.environ.get(POOL_ENV, "").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
 
 
 def active_pool() -> "BufferPool | None":

@@ -15,14 +15,13 @@ rather than a crash three epochs in.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from ..autodiff import Tensor, no_grad
-from ..autodiff.pool import BufferPool, pooling_allowed
+from ..autodiff.pool import BufferPool
 from ..data.windows import WindowSet, iterate_batches, iterate_masked_batches
 from ..metrics import ForecastScores, evaluate_forecast
 from ..nn.loss import mae_loss, masked_mae_loss
@@ -51,12 +50,6 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
     health: HealthConfig = field(default_factory=HealthConfig)
-    # Recycle forward/gradient buffers across steps (see repro.autodiff.pool).
-    # Score-inert: pooled training is bitwise-identical to pool-off training.
-    # Tri-state: None resolves $REPRO_BUFFER_POOL at use time (default on);
-    # an explicit bool — e.g. a per-job override threaded through a service
-    # payload — wins over the environment.
-    buffer_pool: bool | None = None
 
     def __post_init__(self) -> None:
         # Typed, construction-time validation (ConfigError subclasses
@@ -182,14 +175,13 @@ def train_forecaster(
         step = int(resume_state["step"])
         if monitor is not None and resume_state.get("monitor") is not None:
             monitor.load_state_dict(resume_state["monitor"])
-    # The pool is scoped strictly to the per-batch training step: buffers
-    # handed out inside `pool.step()` are reclaimed one generation later, and
-    # validation/inference below runs with no pool active, so arrays that
-    # outlive a step (val predictions, checkpoints) are never recycled.
-    pool_wanted = (
-        config.buffer_pool if config.buffer_pool is not None else pooling_allowed()
-    )
-    pool = BufferPool() if pool_wanted else None
+    # Every training step recycles its forward buffers (repro.autodiff.pool;
+    # score-inert: bitwise-identical to pool-free training).  The pool is
+    # scoped strictly to the per-batch step: buffers handed out inside
+    # `pool.step()` are reclaimed when it exits, and validation/inference
+    # below runs with no pool active, so arrays that outlive a step (val
+    # predictions, checkpoints) are never recycled.
+    pool = BufferPool()
     epochs_done = start_epoch
     with span(
         "train-forecaster", epochs=config.epochs
@@ -202,7 +194,7 @@ def train_forecaster(
             for x, y, y_mask in iterate_masked_batches(
                 train_windows, config.batch_size, rng=rng
             ):
-                with pool.step() if pool is not None else nullcontext():
+                with pool.step():
                     optimizer.zero_grad()
                     # Maskless batches take the exact historical loss chain
                     # (bitwise-identical clean path); masked batches exclude
@@ -230,8 +222,7 @@ def train_forecaster(
                     if monitor is not None:
                         monitor.step_ok()
                     epoch_losses.append(loss_value)
-            if pool is not None:
-                pool.drain()
+            pool.drain()
             result.train_losses.append(
                 float(np.mean(epoch_losses)) if epoch_losses else float("inf")
             )

@@ -30,42 +30,16 @@ def mse_loss(prediction: Tensor, target) -> Tensor:
     return mean(diff * diff)
 
 
-def masked_mae_loss(
-    prediction: Tensor,
-    target,
-    mask: np.ndarray | None = None,
-    null_value: float | None = None,
-) -> Tensor:
+def masked_mae_loss(prediction: Tensor, target, mask: np.ndarray) -> Tensor:
     """MAE over *observed* target positions only.
 
-    ``mask`` is an explicit boolean observation array (broadcastable to the
-    target, ``True`` = score this position) — the form every mask-aware
-    caller should use.  ``null_value`` is the deprecated legacy sentinel: it
-    drops positions whose target *equals* the sentinel, which silently
-    discards legitimate zero readings (ubiquitous after standardization).
-    It is kept only for callers that cannot produce a mask; passing neither
-    falls back to ``null_value=0.0`` with a :class:`DeprecationWarning`.
-    An all-masked target yields a zero loss (denominator clamps at 1).
+    ``mask`` is a boolean observation array (broadcastable to the target,
+    ``True`` = score this position).  An all-masked target yields a zero
+    loss (denominator clamps at 1).
     """
-    if mask is not None and null_value is not None:
-        raise ValueError("pass either mask or null_value, not both")
     target_data = np.asarray(as_tensor(target).data)
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask), target_data.shape)
-        weights = mask.astype(np.float32)
-    else:
-        if null_value is None:
-            import warnings
-
-            warnings.warn(
-                "masked_mae_loss without an explicit mask falls back to the "
-                "null_value=0.0 sentinel, which drops legitimate zero "
-                "targets; pass mask= (preferred) or null_value= explicitly",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            null_value = 0.0
-        weights = (target_data != null_value).astype(np.float32)
+    mask = np.broadcast_to(np.asarray(mask), target_data.shape)
+    weights = mask.astype(np.float32)
     denom = max(float(weights.sum()), 1.0)
     weighted = absolute(prediction - target) * Tensor(weights)
     return weighted.sum() / denom

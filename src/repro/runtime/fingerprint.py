@@ -69,10 +69,7 @@ def proxy_fingerprint(
 ) -> str:
     """Content address of one proxy evaluation (hex SHA-256)."""
     proxy_material = asdict(config)
-    # buffer_pool is score-inert (pooled training is bitwise-identical to
-    # pool-off training, enforced by tests), so it must not split the cache.
-    proxy_material.pop("buffer_pool", None)
-    # warm_dir is score-inert too: a warm continuation is bitwise-identical
+    # warm_dir is score-inert: a warm continuation is bitwise-identical
     # to a fresh run of the same fidelity (enforced by tests).
     proxy_material.pop("warm_dir", None)
     # The fidelity budget IS score-material — a k'-epoch score is a different

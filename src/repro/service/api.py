@@ -303,7 +303,9 @@ class ServiceAPI:
                     "result": cached,
                 }
             result = execute_job(self.engine, request, fingerprint)
-        self.db.put_result(fingerprint, "rank", result.body)
+            # Stored before the lock is released: an identical request
+            # waiting on the lock must find this result on its re-check.
+            self.db.put_result(fingerprint, "rank", result.body)
         return 200, {
             "fingerprint": fingerprint,
             "deduped": False,
@@ -314,6 +316,10 @@ class ServiceAPI:
 def _make_handler(service: ServiceAPI):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY: headers and body go out as two writes, and on a
+        # keep-alive connection Nagle would hold the body back until the
+        # peer's delayed ACK of the headers (~40 ms per response).
+        disable_nagle_algorithm = True
         # http.server logs every request to stderr by default; route it
         # through logging so test output stays clean.
         def log_message(self, fmt, *args):  # noqa: N802 (stdlib name)

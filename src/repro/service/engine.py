@@ -340,7 +340,6 @@ class Engine:
         arch_hyper: ArchHyper,
         task: Task,
         request_fingerprint: str,
-        runtime: RuntimeOverrides,
         epochs: int | None = None,
         seed: int = 0,
     ) -> dict:
@@ -356,9 +355,6 @@ class Engine:
             epochs=epochs if epochs is not None else self.scale.final_train_epochs,
             batch_size=self.scale.batch_size,
             seed=seed,
-            # None resolves $REPRO_BUFFER_POOL at use time; an explicit
-            # per-job value wins over the daemon's environment.
-            buffer_pool=runtime.buffer_pool,
         )
         result = train_forecaster(model, prepared.train, prepared.val, config)
         scores = evaluate_forecaster(

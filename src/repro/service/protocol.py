@@ -8,20 +8,20 @@ and malformed payloads become a typed :class:`ProtocolError` (rendered as a
 Two design points matter beyond parsing:
 
 * **Per-job runtime overrides.**  Knobs like ``$REPRO_DIVERGENCE_POLICY``
-  and ``$REPRO_BUFFER_POOL`` used to be resolved from the parent process's
-  environment when an evaluator or config was constructed — fine for a
-  one-shot CLI, wrong for a multi-tenant daemon where two queued jobs may
-  want different policies.  :class:`RuntimeOverrides` carries those knobs
-  *inside the job payload*; the engine resolves them per job at execution
-  time (explicit payload value > daemon environment > default).
+  used to be resolved from the parent process's environment when an
+  evaluator or config was constructed — fine for a one-shot CLI, wrong for
+  a multi-tenant daemon where two queued jobs may want different policies.
+  :class:`RuntimeOverrides` carries those knobs *inside the job payload*;
+  the engine resolves them per job at execution time (explicit payload
+  value > daemon environment > default).
 * **Content-addressed requests.**  :func:`request_fingerprint` hashes the
   score-relevant identity of a submission — job kind, task contents (via
   :func:`~repro.runtime.fingerprint.task_fingerprint_material`), options,
   the score-relevant runtime knobs, and the serving engine's identity.
   Two tenants submitting the same work dedupe to one computation; knobs
-  that are provably score-inert (workers, retries, timeouts, buffer
-  pooling) are excluded so they cannot split the registry, mirroring the
-  eval-cache keying in :mod:`repro.runtime.fingerprint`.
+  that are provably score-inert (workers, retries, timeouts) are excluded
+  so they cannot split the registry, mirroring the eval-cache keying in
+  :mod:`repro.runtime.fingerprint`.
 """
 
 from __future__ import annotations
@@ -210,7 +210,6 @@ class RuntimeOverrides:
     divergence_policy: str | None = None
     max_retries: int | None = None
     eval_timeout: float | None = None
-    buffer_pool: bool | None = None
     proxy_epochs: int | None = None
     proxy_batch_size: int | None = None
     proxy_lr: float | None = None
@@ -235,21 +234,17 @@ class RuntimeOverrides:
             ),
             lr=self.proxy_lr if self.proxy_lr is not None else base.lr,
             seed=self.proxy_seed if self.proxy_seed is not None else base.seed,
-            buffer_pool=(
-                self.buffer_pool if self.buffer_pool is not None else base.buffer_pool
-            ),
         )
 
     def score_material(self) -> dict:
         """The score-*relevant* subset, for request fingerprints.
 
-        Workers, retries, timeouts, and buffer pooling are score-inert
-        (bitwise-identical results, enforced by the runtime/perf suites), so
-        they are deliberately absent: a tenant asking for 4 workers must
-        dedupe against a tenant asking for 1.  The fidelity schedule IS
-        score-relevant, but its keys are included only when set, so every
-        schedule-free request fingerprint stays byte-identical to its
-        pre-fidelity value.
+        Workers, retries, and timeouts are score-inert (bitwise-identical
+        results, enforced by the runtime suites), so they are deliberately
+        absent: a tenant asking for 4 workers must dedupe against a tenant
+        asking for 1.  The fidelity schedule IS score-relevant, but its keys
+        are included only when set, so every schedule-free request
+        fingerprint stays byte-identical to its pre-fidelity value.
         """
         material = {
             "divergence_policy": self.divergence_policy,
@@ -276,7 +271,13 @@ class RuntimeOverrides:
 
 
 def parse_runtime(payload: dict | None) -> RuntimeOverrides:
-    """Validate the ``runtime`` section of a submission."""
+    """Validate the ``runtime`` section of a submission.
+
+    Keys other than the :class:`RuntimeOverrides` fields are ignored, so
+    payloads from older clients (e.g. one still carrying the retired
+    buffer-pooling switch; training always pools now) are accepted and
+    dedupe with new ones.
+    """
     if payload is None:
         return RuntimeOverrides()
     if not isinstance(payload, dict):
@@ -309,7 +310,6 @@ def parse_runtime(payload: dict | None) -> RuntimeOverrides:
         divergence_policy=policy,
         max_retries=_optional(payload, "max_retries", int, "runtime"),
         eval_timeout=_optional(payload, "eval_timeout", (int, float), "runtime"),
-        buffer_pool=_optional(payload, "buffer_pool", bool, "runtime"),
         proxy_epochs=_optional(payload, "proxy_epochs", int, "runtime"),
         proxy_batch_size=_optional(payload, "proxy_batch_size", int, "runtime"),
         proxy_lr=_optional(payload, "proxy_lr", (int, float), "runtime"),

@@ -49,12 +49,6 @@ class ProxyConfig:
     lr: float = 1e-3
     weight_decay: float = 1e-4
     seed: int = 0
-    # Score-inert performance knob: pooled proxy training produces bitwise
-    # identical scores, so this field is excluded from eval-cache
-    # fingerprints (see repro.runtime.fingerprint.proxy_fingerprint).
-    # Tri-state: None resolves $REPRO_BUFFER_POOL at use time; an explicit
-    # bool (e.g. a per-job service override) wins over the environment.
-    buffer_pool: bool | None = None
     # Fidelity axis (successive halving, docs/fidelity.md): train only this
     # many epochs of the full `epochs` budget.  None = full fidelity (the
     # historical behaviour).  Score-MATERIAL when partial: a k'-epoch score
@@ -64,8 +58,7 @@ class ProxyConfig:
     fidelity_epochs: int | None = None
     # Directory for warm-resume training snapshots.  Score-INERT: a warm
     # continuation is bitwise-identical to a fresh run of the same fidelity
-    # (enforced by test), so this is excluded from fingerprints like
-    # buffer_pool.
+    # (enforced by test), so this is excluded from fingerprints.
     warm_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -104,7 +97,6 @@ class ProxyConfig:
             weight_decay=self.weight_decay,
             patience=max(chosen, 1),
             seed=self.seed,
-            buffer_pool=self.buffer_pool,
         )
 
 
@@ -121,49 +113,20 @@ def measure_arch_hyper(
     with a non-finite validation score — divergence is a typed, deterministic
     outcome here; the evaluator decides whether it becomes a sentinel score
     or propagates (``--divergence-policy``).
-    """
-    config = config if config is not None else ProxyConfig()
-    if config.fidelity_epochs is None and config.warm_dir is None:
-        # The exact historical single-fidelity path: no snapshot capture, no
-        # warm lookup — byte-for-byte the pre-fidelity pipeline.
-        prepared = task.prepared
-        model = build_forecaster(
-            arch_hyper, task.data, task.horizon, seed=config.seed
-        )
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            train_forecaster(
-                model, prepared.train, prepared.val, config.train_config()
-            )
-            scores = evaluate_forecaster(model, prepared.val, config.batch_size)
-            value = float(scores.primary(single_step=task.single_step))
-        return _checked(value, arch_hyper, task)
-    return _measure_with_fidelity(arch_hyper, task, config)
 
-
-def _checked(value: float, arch_hyper: ArchHyper, task: Task) -> float:
-    if not np.isfinite(value):
-        raise DivergenceError(
-            f"proxy evaluation produced a non-finite score ({value}) for "
-            f"{arch_hyper.hyper} on task {task.name!r}"
-        )
-    return value
-
-
-def _measure_with_fidelity(
-    arch_hyper: ArchHyper, task: Task, config: ProxyConfig
-) -> float:
-    """R'(ah) at a (possibly partial) fidelity, warm-continuing when possible.
-
-    Training runs under the *full*-epochs :class:`TrainConfig` and is cut at
-    the fidelity budget by ``stop_after_epoch``; with a ``warm_dir``, the
-    end-of-run trainer snapshot is persisted so a later, higher-fidelity
-    measurement of the same candidate resumes instead of retraining — and
-    the resumed run is bitwise-identical to a fresh one of that fidelity.
+    Fidelity (see ``docs/fidelity.md``): training runs under the
+    *full*-epochs :class:`TrainConfig` and is cut at the fidelity budget by
+    ``stop_after_epoch``; with a ``warm_dir``, the end-of-run trainer
+    snapshot is persisted so a later, higher-fidelity measurement of the
+    same candidate resumes instead of retraining — and the resumed run is
+    bitwise-identical to a fresh one of that fidelity.  At full fidelity
+    with no ``warm_dir`` this is one plain training run.
     """
     # Lazy import: the runtime layer imports this module at load time, so
     # the reverse dependency must resolve at call time only.
     from ..runtime.warm import WarmStore
 
+    config = config if config is not None else ProxyConfig()
     budget = (
         config.fidelity_epochs
         if config.fidelity_epochs is not None
@@ -193,7 +156,12 @@ def _measure_with_fidelity(
         value = float(scores.primary(single_step=task.single_step))
     if store is not None and result.state is not None:
         store.save(arch_hyper, task, config, result.state)
-    return _checked(value, arch_hyper, task)
+    if not np.isfinite(value):
+        raise DivergenceError(
+            f"proxy evaluation produced a non-finite score ({value}) for "
+            f"{arch_hyper.hyper} on task {task.name!r}"
+        )
+    return value
 
 
 def full_train_score(
@@ -218,7 +186,6 @@ def full_train_score(
             weight_decay=config.weight_decay,
             patience=max(3, epochs // 4),
             seed=config.seed,
-            buffer_pool=config.buffer_pool,
         ),
     )
     windows = prepared.test if return_test else prepared.val

@@ -8,10 +8,12 @@ Three kinds of guarantees:
 * the im2col kernels agree with the reference per-tap loop kernels to
   float tolerance, and the fused chains are *bitwise* identical to the
   unfused chains they replace,
-* pooled training is bitwise-identical to pool-disabled training across
-  shapes and seeds (the property that lets ``ProxyConfig.buffer_pool``
-  stay outside the eval-cache fingerprint).
+* pooled training is bitwise-identical to pool-free training across
+  shapes and seeds (the property that keeps the always-on pool outside
+  the eval-cache fingerprint).
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from repro.autodiff.fused import (
     mean_absolute_error,
     reference_kernels,
 )
-from repro.autodiff.pool import POOL_ENV, BufferPool, pooling_allowed
+from repro.autodiff.pool import BufferPool
 from repro.core import TrainConfig, build_forecaster, train_forecaster
 from repro.data import CTSData
 from repro.nn.conv import (
@@ -224,11 +226,6 @@ class TestLazyBroadcast:
 
 
 class TestBufferPool:
-    def test_env_kill_switch(self, monkeypatch):
-        assert pooling_allowed()
-        monkeypatch.setenv(POOL_ENV, "0")
-        assert not pooling_allowed()
-
     def test_cross_step_reuse(self):
         pool = BufferPool()
         with pool.step():
@@ -309,7 +306,18 @@ def _toy_task(t=64, n=3, seed=0):
     )
 
 
-def _train_state(hidden_dim, seed, buffer_pool):
+class _NoPool:
+    """Stand-in for ``BufferPool`` whose steps never activate a pool, so
+    every op takes its pool-free allocation path."""
+
+    def step(self):
+        return nullcontext()
+
+    def drain(self):
+        pass
+
+
+def _train_state(hidden_dim, seed, pooled):
     task = _toy_task(seed=seed)
     space = JointSearchSpace(
         hyper_space=HyperSpace(
@@ -323,19 +331,35 @@ def _train_state(hidden_dim, seed, buffer_pool):
     )
     arch_hyper = space.sample(np.random.default_rng(seed))
     model = build_forecaster(arch_hyper, task.data, task.horizon, seed=seed)
-    train_forecaster(
-        model,
-        task.prepared.train,
-        task.prepared.val,
-        TrainConfig(
-            epochs=2, batch_size=16, patience=2, seed=seed, buffer_pool=buffer_pool
-        ),
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        if not pooled:
+            patch.setattr("repro.core.trainer.BufferPool", _NoPool)
+        train_forecaster(
+            model,
+            task.prepared.train,
+            task.prepared.val,
+            TrainConfig(epochs=2, batch_size=16, patience=2, seed=seed),
+        )
     return model.state_dict()
 
 
 class TestPooledTrainingBitwise:
-    """The property that keeps buffer_pool out of eval-cache fingerprints."""
+    """The property that keeps the pool out of eval-cache fingerprints."""
+
+    def test_training_always_pools(self, monkeypatch):
+        import repro.core.trainer as trainer_module
+
+        steps = []
+
+        class SpyPool(BufferPool):
+            def step(self):
+                steps.append(self)
+                return super().step()
+
+        monkeypatch.setattr(trainer_module, "BufferPool", SpyPool)
+        monkeypatch.setenv("REPRO_BUFFER_POOL", "0")  # retired; must be ignored
+        _train_state(4, 0, pooled=True)
+        assert steps and all(isinstance(pool, SpyPool) for pool in steps)
 
     @settings(max_examples=4, deadline=None)
     @given(
@@ -343,8 +367,8 @@ class TestPooledTrainingBitwise:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_pooled_training_bitwise_identical(self, hidden_dim, seed):
-        pooled = _train_state(hidden_dim, seed, buffer_pool=True)
-        plain = _train_state(hidden_dim, seed, buffer_pool=False)
+        pooled = _train_state(hidden_dim, seed, pooled=True)
+        plain = _train_state(hidden_dim, seed, pooled=False)
         assert pooled.keys() == plain.keys()
         for name in pooled:
             assert np.array_equal(pooled[name], plain[name]), name

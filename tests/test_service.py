@@ -16,8 +16,8 @@ tiny synthetic artifacts — and talks to it over actual HTTP.  Covered:
   evaluations,
 * malformed payloads as 4xx, never 500s or hangs,
 * concurrent clients and daemons with no double-claimed jobs,
-* per-job runtime overrides (divergence policy, buffer pooling) beating
-  the daemon's environment,
+* per-job runtime overrides (divergence policy) beating the daemon's
+  environment,
 * ``repro submit`` CLI against a live server.
 """
 
@@ -32,7 +32,6 @@ import pytest
 from repro.comparator.pretrain import PretrainHistory
 from repro.comparator.tahc import TAHC
 from repro.core.health import DivergenceError
-from repro.data import CTSData
 from repro.embedding import MLPEmbedder
 from repro.experiments.config import SCALES
 from repro.experiments.harness import PretrainedArtifacts
@@ -85,11 +84,9 @@ class CountingEval:
     def __init__(self, fn):
         self.fn = fn
         self.calls = 0
-        self.configs = []
 
     def __call__(self, arch_hyper, task, config):
         self.calls += 1
-        self.configs.append(config)
         return self.fn(arch_hyper, task, config)
 
 
@@ -655,86 +652,123 @@ class TestRuntimeOverrides:
         finally:
             stack.close()
 
-    def test_per_job_buffer_pool_threaded_into_proxy_config(self, tmp_path):
-        counting = CountingEval(cheap_eval)
-        stack = Service(tmp_path, eval_fn=counting)
+    def test_retired_buffer_pool_key_accepted_and_ignored(self):
+        from repro.service.protocol import RuntimeOverrides, parse_runtime
+
+        overrides = parse_runtime({"workers": 2, "buffer_pool": False})
+        assert overrides == RuntimeOverrides(workers=2)
+        assert overrides.proxy_config() == RuntimeOverrides().proxy_config()
+
+
+class _GatedLock:
+    """A lock that makes the second contender's turn observable.
+
+    ``waiting`` is set once a second thread blocks on the lock.  The first
+    holder, on release, waits until that second thread has released it too,
+    so whatever the first holder does *after* its critical section happens
+    strictly after the second thread's whole critical section.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._first = None
+        self.waiting = threading.Event()
+        self.second_done = threading.Event()
+
+    def __enter__(self):
+        if self._first is None:
+            self._first = threading.get_ident()
+        else:
+            self.waiting.set()
+        self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
+        if threading.get_ident() == self._first:
+            assert self.second_done.wait(timeout=30)
+        else:
+            self.second_done.set()
+
+
+class TestRankConcurrency:
+    def test_concurrent_identical_ranks_execute_once(self, tmp_path, monkeypatch):
+        import repro.service.api as api_module
+
+        engine = Engine(_artifacts(), SCALES["smoke"], cache_enabled=False)
+        api = ServiceAPI(ServiceDB(tmp_path / "registry.sqlite"), engine)
+        api._rank_lock = lock = _GatedLock()
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+        real_execute = api_module.execute_job
+
+        def gated_execute(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                entered.set()
+                assert release.wait(timeout=30)
+            return real_execute(*args)
+
+        monkeypatch.setattr(api_module, "execute_job", gated_execute)
+        payload = {"task": _task_spec(), "options": {"top_k": 1}}
+        bodies = []
+
+        def post():
+            bodies.append(api.handle_rank(payload, None)[1])
+
+        first = threading.Thread(target=post)
+        first.start()
+        assert entered.wait(timeout=30)
+        second = threading.Thread(target=post)
+        second.start()
+        # Both requests missed the registry; the second now queues on the
+        # lock while the first is still ranking.
+        assert lock.waiting.wait(timeout=30)
+        release.set()
+        first.join(timeout=60)
+        second.join(timeout=60)
+        assert not first.is_alive() and not second.is_alive()
+        assert len(calls) == 1
+        assert sorted(body["deduped"] for body in bodies) == [False, True]
+        # json round-trip: the registry copy holds lists, the fresh one tuples.
+        first_result, second_result = (
+            json.loads(json.dumps(body["result"])) for body in bodies
+        )
+        assert first_result == second_result
+
+
+class TestTransport:
+    def test_keep_alive_responses_not_held_by_nagle(self, service):
+        import http.client
+        import socket
+
+        # Record every connection the server accepts.
+        server = service.api._server
+        accepted = []
+        real_get_request = server.get_request
+
+        def get_request():
+            connection, address = real_get_request()
+            accepted.append(connection)
+            return connection, address
+
+        server.get_request = get_request
+        client = http.client.HTTPConnection(service.api.host, service.api.port)
         try:
-            _, submitted = stack.request(
-                "/jobs",
-                {
-                    "kind": "collect",
-                    "task": _task_spec(),
-                    "options": {"n_samples": 1},
-                    "runtime": {"buffer_pool": False},
-                },
+            for _ in range(3):  # one keep-alive connection, several responses
+                client.request("GET", "/health")
+                response = client.getresponse()
+                assert response.status == 200
+                json.loads(response.read())
+            assert accepted
+            # Headers and body are separate writes; with Nagle on, the body
+            # of every keep-alive response waits for the client's delayed ACK.
+            assert all(
+                connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                for connection in accepted
             )
-            stack.wait_for(submitted["job"]["id"])
-            assert counting.configs[-1].buffer_pool is False
-            _, submitted = stack.request(
-                "/jobs",
-                {
-                    "kind": "collect",
-                    "task": _task_spec(seed=2, name="toy-c"),
-                    "options": {"n_samples": 1},
-                },
-            )
-            stack.wait_for(submitted["job"]["id"])
-            # Unspecified stays tri-state None: resolved against the
-            # worker's environment at training time, not frozen here.
-            assert counting.configs[-1].buffer_pool is None
         finally:
-            stack.close()
-
-
-class TestTrainConfigTriState:
-    """Regression: $REPRO_BUFFER_POOL must be a fallback resolved at use
-    time, with an explicit config value winning over the environment."""
-
-    def _ran_with_pool(self, monkeypatch, buffer_pool):
-        import repro.core.trainer as trainer_module
-        from repro.core import TrainConfig, build_forecaster, train_forecaster
-        from repro.tasks import Task
-
-        created = []
-        real_pool = trainer_module.BufferPool
-
-        class SpyPool(real_pool):
-            def __init__(self, *args, **kwargs):
-                created.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(trainer_module, "BufferPool", SpyPool)
-        rng = np.random.default_rng(0)
-        values = rng.normal(10, 2, size=(4, 80, 1)).astype(np.float32)
-        task = Task(
-            CTSData("pool-probe", values, np.ones((4, 4), dtype=np.float32), "test"),
-            p=6,
-            q=3,
-        )
-        space = JointSearchSpace(hyper_space=TINY_HYPER)
-        ah = space.sample(np.random.default_rng(0))
-        model = build_forecaster(ah, task.data, task.horizon, seed=0)
-        train_forecaster(
-            model,
-            task.prepared.train,
-            task.prepared.val,
-            TrainConfig(epochs=1, batch_size=16, patience=1, buffer_pool=buffer_pool),
-        )
-        return bool(created)
-
-    def test_explicit_true_beats_env_kill_switch(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BUFFER_POOL", "0")
-        assert self._ran_with_pool(monkeypatch, buffer_pool=True)
-
-    def test_default_resolves_env_at_use_time(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BUFFER_POOL", "0")
-        assert not self._ran_with_pool(monkeypatch, buffer_pool=None)
-        monkeypatch.delenv("REPRO_BUFFER_POOL")
-        assert self._ran_with_pool(monkeypatch, buffer_pool=None)
-
-    def test_explicit_false_without_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_BUFFER_POOL", raising=False)
-        assert not self._ran_with_pool(monkeypatch, buffer_pool=False)
+            client.close()
 
 
 class TestCLISubmit:
