@@ -69,7 +69,10 @@ class TrainResult:
 
     train_losses: list[float] = field(default_factory=list)
     val_maes: list[float] = field(default_factory=list)
-    best_val_mae: float = float("inf")
+    # The full validation scores of the best epoch (lowest MAE): the restored
+    # best state scores exactly this, so callers read it instead of running
+    # validation again.  ``None`` when no epoch scored a finite MAE.
+    best_val_scores: ForecastScores | None = None
     best_epoch: int = -1
     stopped_early: bool = False
     health: HealthReport = field(default_factory=HealthReport)
@@ -82,6 +85,19 @@ class TrainResult:
     @property
     def epochs_trained(self) -> int:
         return len(self.train_losses)
+
+    @property
+    def best_val_mae(self) -> float:
+        """The best epoch's validation MAE; inf when none."""
+        if self.best_val_scores is None:
+            return float("inf")
+        return self.best_val_scores.mae
+
+    def best_val_primary(self, single_step: bool = False) -> float:
+        """The best epoch's headline validation metric; NaN when none."""
+        if self.best_val_scores is None:
+            return float("nan")
+        return self.best_val_scores.primary(single_step=single_step)
 
 
 def _module_rng_states(model: Module) -> list:
@@ -134,13 +150,13 @@ def train_forecaster(
     Fidelity resume (see ``docs/fidelity.md``): ``stop_after_epoch=k`` ends
     the run after epoch ``k`` (1-based count) without marking it early-
     stopped; ``capture_state=True`` attaches a full snapshot — current
-    weights (pre best-restore), best-so-far state, optimizer moments and
-    backed-off learning rate, batch-order and dropout RNG streams, monitor
-    state, histories — to ``result.state``.  Feeding that snapshot back as
-    ``resume_state`` (with the *same* config) continues the run so that the
-    final weights, histories, and scores are bitwise-identical to a single
-    uninterrupted training.  With all three defaults the loop is the exact
-    historical code path.
+    weights (pre best-restore), best-so-far state and its validation scores,
+    optimizer moments and backed-off learning rate, batch-order and dropout
+    RNG streams, monitor state, histories — to ``result.state``.  Feeding
+    that snapshot back as ``resume_state`` (with the *same* config) continues
+    the run so that the final weights, histories, and scores are
+    bitwise-identical to a single uninterrupted training.  With all three
+    defaults the loop is the exact historical code path.
     """
     optimizer = Adam(
         model.parameters(), lr=config.lr, weight_decay=config.weight_decay
@@ -168,7 +184,7 @@ def train_forecaster(
         best_state = resume_state["best_state"]
         result.train_losses = list(resume_state["train_losses"])
         result.val_maes = list(resume_state["val_maes"])
-        result.best_val_mae = float(resume_state["best_val_mae"])
+        result.best_val_scores = resume_state["best_val_scores"]
         result.best_epoch = int(resume_state["best_epoch"])
         result.stopped_early = bool(resume_state["stopped_early"])
         epochs_without_improvement = int(resume_state["epochs_without_improvement"])
@@ -227,10 +243,12 @@ def train_forecaster(
                 float(np.mean(epoch_losses)) if epoch_losses else float("inf")
             )
 
-            val_mae = evaluate_forecaster(model, val_windows, config.batch_size).mae
+            with span("validate", epoch=epoch):
+                val_scores = evaluate_forecaster(model, val_windows, config.batch_size)
+            val_mae = val_scores.mae
             result.val_maes.append(val_mae)
             if val_mae < result.best_val_mae:
-                result.best_val_mae = val_mae
+                result.best_val_scores = val_scores
                 result.best_epoch = epoch
                 best_state = model.state_dict()
                 epochs_without_improvement = 0
@@ -260,7 +278,7 @@ def train_forecaster(
             "module_rngs": _module_rng_states(model),
             "train_losses": list(result.train_losses),
             "val_maes": list(result.val_maes),
-            "best_val_mae": float(result.best_val_mae),
+            "best_val_scores": result.best_val_scores,
             "best_epoch": int(result.best_epoch),
             "stopped_early": bool(result.stopped_early),
             "epochs_without_improvement": int(epochs_without_improvement),

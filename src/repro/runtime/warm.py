@@ -27,6 +27,12 @@ from ..tasks.task import Task
 from .checkpoint import Checkpoint
 from .fingerprint import CACHE_KEY_VERSION, warm_lineage_fingerprint
 
+# Bump when the trainer snapshot's schema changes.  A snapshot written under
+# another version fails the checkpoint's meta check and is discarded, so the
+# rung retrains fresh.  Version 2 carries the best epoch's validation scores
+# (``best_val_scores``), which a resumed run reports as its proxy score.
+WARM_SNAPSHOT_VERSION = 2
+
 
 class WarmStore:
     """Per-lineage trainer snapshots under one directory.
@@ -43,7 +49,11 @@ class WarmStore:
         return Checkpoint(
             self.root / f"{lineage}.warm.pkl",
             kind="warm-train",
-            meta={"fingerprint": lineage, "key_version": CACHE_KEY_VERSION},
+            meta={
+                "fingerprint": lineage,
+                "key_version": CACHE_KEY_VERSION,
+                "snapshot_version": WARM_SNAPSHOT_VERSION,
+            },
         )
 
     def load(

@@ -142,20 +142,20 @@ def measure_arch_hyper(
         snapshot = None
     prepared = task.prepared
     model = build_forecaster(arch_hyper, task.data, task.horizon, seed=config.seed)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        result = train_forecaster(
-            model,
-            prepared.train,
-            prepared.val,
-            config.train_config(),
-            stop_after_epoch=None if budget >= config.epochs else budget,
-            resume_state=snapshot,
-            capture_state=store is not None,
-        )
-        scores = evaluate_forecaster(model, prepared.val, config.batch_size)
-        value = float(scores.primary(single_step=task.single_step))
+    result = train_forecaster(
+        model,
+        prepared.train,
+        prepared.val,
+        config.train_config(),
+        stop_after_epoch=None if budget >= config.epochs else budget,
+        resume_state=snapshot,
+        capture_state=store is not None,
+    )
     if store is not None and result.state is not None:
         store.save(arch_hyper, task, config, result.state)
+    # The restored best state is the model the loop scored at its best
+    # epoch, so its validation scores are reused, not recomputed.
+    value = float(result.best_val_primary(single_step=task.single_step))
     if not np.isfinite(value):
         raise DivergenceError(
             f"proxy evaluation produced a non-finite score ({value}) for "

@@ -125,6 +125,29 @@ class TestTracer:
                     pass
         assert records == []
 
+    def test_validate_span_is_child_of_train_forecaster(self):
+        from repro.core.model import build_forecaster
+        from repro.core.trainer import TrainConfig, train_forecaster
+        from repro.data import CTSData
+        from repro.space import JointSearchSpace
+        from repro.tasks import Task
+
+        values = np.random.default_rng(0).normal(10, 2, size=(3, 120, 1))
+        adjacency = np.ones((3, 3), dtype=np.float32)
+        data = CTSData("obs-toy", values.astype(np.float32), adjacency, "test")
+        task = Task(data, p=6, q=3)
+        ah = JointSearchSpace().sample(np.random.default_rng(0))
+        model = build_forecaster(ah, task.data, task.horizon, seed=0)
+        records = []
+        with tracer_scope(Tracer(records.append)):
+            train_forecaster(
+                model, task.prepared.train, task.prepared.val, TrainConfig(epochs=2)
+            )
+        (train,) = [r for r in records if r["name"] == "train-forecaster"]
+        validates = [r for r in records if r["name"] == "validate"]
+        assert [r["attrs"]["epoch"] for r in validates] == [0, 1]
+        assert all(r["parent"] == train["id"] for r in validates)
+
 
 class TestTraceFile:
     def test_round_trip(self, tmp_path):

@@ -1,9 +1,18 @@
 """Tests for the task abstraction, enrichment, and the early-validation proxy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.data import CTSData, get_dataset
+import repro.tasks.proxy as proxy
+from repro.core.health import DivergenceError
+from repro.core.model import build_forecaster
+from repro.core.trainer import evaluate_forecaster, train_forecaster
+from repro.data import CTSData, corrupt_dataset, get_dataset
+from repro.metrics import ForecastScores
+from repro.runtime import CACHE_KEY_VERSION, Checkpoint, warm_lineage_fingerprint
+from repro.runtime.warm import WarmStore
 from repro.space import JointSearchSpace, HyperSpace
 from repro.tasks import (
     EnrichmentConfig,
@@ -142,8 +151,8 @@ class TestProxy:
         space = JointSearchSpace(hyper_space=TINY_HYPER)
         ah = space.sample(np.random.default_rng(1))
         config = ProxyConfig(epochs=1, batch_size=32, seed=3)
-        assert measure_arch_hyper(ah, task, config) == pytest.approx(
-            measure_arch_hyper(ah, task, config)
+        assert measure_arch_hyper(ah, task, config) == measure_arch_hyper(
+            ah, task, config
         )
 
     def test_real_dataset_smoke(self):
@@ -153,3 +162,117 @@ class TestProxy:
         ah = space.sample(np.random.default_rng(0))
         score = measure_arch_hyper(ah, task, ProxyConfig(epochs=1, batch_size=64))
         assert np.isfinite(score)
+
+
+def _old_path(ah, task, config):
+    """The proxy as it was before it reused the loop's scores: train, then
+    run validation again on the restored best state."""
+    model = build_forecaster(ah, task.data, task.horizon, seed=config.seed)
+    result = train_forecaster(
+        model, task.prepared.train, task.prepared.val, config.train_config()
+    )
+    scores = evaluate_forecaster(model, task.prepared.val, config.batch_size)
+    return result, scores
+
+
+def _bits(scores):
+    return [float(value).hex() for value in dataclasses.astuple(scores)]
+
+
+class TestProxyReusesBestEpochScores:
+    """R' comes from the best epoch's in-loop validation; it must equal, bit
+    for bit, a second validation pass over the restored best state."""
+
+    # lr=0.03 on this toy task: validation MAE is best at epoch 0 of 3.
+    EARLY_BEST = ProxyConfig(epochs=3, batch_size=32, lr=0.03)
+
+    def _candidate(self, seed=0):
+        space = JointSearchSpace(hyper_space=TINY_HYPER)
+        return space.sample(np.random.default_rng(seed))
+
+    def _assert_matches_old_path(self, ah, task, config):
+        result, scores = _old_path(ah, task, config)
+        assert _bits(result.best_val_scores) == _bits(scores)
+        expected = scores.primary(single_step=task.single_step)
+        assert measure_arch_hyper(ah, task, config).hex() == expected.hex()
+        return result
+
+    def test_multi_step_mae(self):
+        task = Task(_toy_data(t=200), p=6, q=3)
+        self._assert_matches_old_path(
+            self._candidate(), task, ProxyConfig(epochs=1, batch_size=32)
+        )
+
+    def test_single_step_rrse(self):
+        task = Task(_toy_data(t=200), p=6, q=3, single_step=True)
+        self._assert_matches_old_path(
+            self._candidate(), task, ProxyConfig(epochs=1, batch_size=32)
+        )
+
+    def test_masked_windows(self):
+        dirty = corrupt_dataset(_toy_data(t=200), "block_missing", severity=0.3)
+        task = Task(dirty, p=6, q=3)
+        assert task.prepared.val.y_mask is not None
+        self._assert_matches_old_path(
+            self._candidate(), task, ProxyConfig(epochs=2, batch_size=32)
+        )
+
+    def test_best_epoch_is_not_the_last(self):
+        task = Task(_toy_data(t=200), p=6, q=3)
+        result = self._assert_matches_old_path(
+            self._candidate(1), task, self.EARLY_BEST
+        )
+        assert result.best_epoch < result.epochs_trained - 1
+
+    def test_warm_promoted_best_epoch_in_earlier_rung(self, tmp_path):
+        task = Task(_toy_data(t=200), p=6, q=3)
+        ah = self._candidate(1)
+        result, scores = _old_path(ah, task, self.EARLY_BEST)
+        assert result.best_epoch == 0  # inside the 1-epoch first rung
+        warm = str(tmp_path / "warm")
+        rung = dataclasses.replace(self.EARLY_BEST, fidelity_epochs=1, warm_dir=warm)
+        measure_arch_hyper(ah, task, rung)
+        promoted = dataclasses.replace(self.EARLY_BEST, warm_dir=warm)
+        assert measure_arch_hyper(ah, task, promoted).hex() == scores.mae.hex()
+
+    def test_no_finite_epoch_raises_divergence(self, monkeypatch):
+        nan = float("nan")
+        monkeypatch.setattr(
+            "repro.core.trainer.evaluate_forecaster",
+            lambda *args, **kwargs: ForecastScores(nan, nan, nan, nan, nan),
+        )
+        task = Task(_toy_data(t=200), p=6, q=3)
+        with pytest.raises(DivergenceError, match="non-finite"):
+            measure_arch_hyper(
+                self._candidate(), task, ProxyConfig(epochs=2, batch_size=32)
+            )
+
+    def test_unversioned_warm_snapshot_is_retrained(self, tmp_path, monkeypatch):
+        """A snapshot from before the version stamp lacks the best epoch's
+        scores; it must be discarded and the rung retrained, never resumed."""
+        task = Task(_toy_data(t=200), p=6, q=3)
+        ah = self._candidate(1)
+        warm = tmp_path / "warm"
+        config = dataclasses.replace(self.EARLY_BEST, warm_dir=str(warm))
+        rung = dataclasses.replace(config, fidelity_epochs=1)
+        measure_arch_hyper(ah, task, rung)
+        state = WarmStore(warm).load(ah, task, rung)
+        state["best_val_mae"] = state.pop("best_val_scores").mae  # the old schema
+        lineage = warm_lineage_fingerprint(ah, task, rung)
+        Checkpoint(
+            warm / f"{lineage}.warm.pkl",
+            "warm-train",
+            meta={"fingerprint": lineage, "key_version": CACHE_KEY_VERSION},
+        ).save(state)
+        resumes = []
+        real_train = proxy.train_forecaster
+
+        def spy(*args, **kwargs):
+            resumes.append(kwargs["resume_state"])
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(proxy, "train_forecaster", spy)
+        fresh = measure_arch_hyper(ah, task, self.EARLY_BEST)
+        assert measure_arch_hyper(ah, task, config) == fresh
+        assert resumes == [None, None]
+        assert WarmStore(warm).load(ah, task, rung)["best_val_scores"] is not None
